@@ -142,8 +142,8 @@ func editCircuit(t *testing.T, cfg Config, c *sta.Circuit) {
 func TestOracleIncrementalCompile(t *testing.T) {
 	for _, cfg := range Configs(nConfigs) {
 		c, evs := buildWithEvents(t, cfg, 0)
-		// Analyze once pre-edit so the old handle exists and carries cones —
-		// the state the incremental path reuses.
+		// Analyze once pre-edit so the old handle exists and carries its
+		// consumer edges — the state the incremental path reuses.
 		if _, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1}); err != nil {
 			t.Fatalf("%s: pre-edit analyze: %v", cfg.Name, err)
 		}
@@ -173,29 +173,11 @@ func TestOracleIncrementalCompile(t *testing.T) {
 			t.Errorf("%s: incremental recompile diverges from from-scratch: %v", cfg.Name, err)
 		}
 
-		// Cone tables must match index-for-index (both circuits list gates in
-		// the same construction order).
-		inc, err := c.Compile()
-		if err != nil {
-			t.Fatalf("%s: compile: %v", cfg.Name, err)
-		}
-		refC, err := ref.Compile()
-		if err != nil {
-			t.Fatalf("%s: ref compile: %v", cfg.Name, err)
-		}
-		for _, pi := range c.PIs {
-			incCone, ok1 := inc.Cone(pi)
-			refCone, ok2 := refC.Cone(ref.Net(pi.Name))
-			if ok1 != ok2 || len(incCone) != len(refCone) {
-				t.Fatalf("%s: PI %s cone shape: (%v,%d) incremental vs (%v,%d) from scratch",
-					cfg.Name, pi.Name, ok1, len(incCone), ok2, len(refCone))
-			}
-			for k := range refCone {
-				if incCone[k] != refCone[k] {
-					t.Fatalf("%s: PI %s cone[%d]: %d incremental vs %d from scratch",
-						cfg.Name, pi.Name, k, incCone[k], refCone[k])
-				}
-			}
+		// The walk must reach the same gates through the merged consumer
+		// edges as through a from-scratch build.
+		if incRes.Stats.GatesScheduled != refRes.Stats.GatesScheduled {
+			t.Errorf("%s: incremental walk scheduled %d gates vs %d from scratch",
+				cfg.Name, incRes.Stats.GatesScheduled, refRes.Stats.GatesScheduled)
 		}
 	}
 }

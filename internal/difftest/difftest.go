@@ -113,8 +113,8 @@ func (cfg Config) WireVector(c *sta.Circuit, k int) []service.Event {
 
 // PartialWireVector is WireVector k restricted to a seeded subset of about
 // a quarter of the primary inputs (always at least one) — the
-// partial-activity stimulus shape cone-pruned sparse scheduling exists for,
-// where dense and sparse walks genuinely schedule different gate sets.
+// partial-activity stimulus shape the event-driven walk exists for, where it
+// and the every-gate reference genuinely schedule different gate sets.
 func (cfg Config) PartialWireVector(c *sta.Circuit, k int) []service.Event {
 	full := cfg.WireVector(c, k)
 	rng := rand.New(rand.NewSource(cfg.Seed*2_000_003 + int64(k)))

@@ -4,9 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/service"
 	"repro/internal/sta"
-	"repro/internal/waveform"
 )
 
 // nConfigs is the seeded configuration budget each oracle sweeps. The
@@ -85,89 +83,6 @@ func TestOracleBatchVsPerVector(t *testing.T) {
 			if err := DiffExact(Arrivals(c, single), Arrivals(c, res), nil); err != nil {
 				t.Errorf("%s: batch vector %d diverges from Analyze: %v", cfg.Name, k, err)
 			}
-		}
-	}
-}
-
-// TestOracleSparseVsDense: cone-pruned sparse scheduling must be
-// bit-identical to the dense full-schedule walk on every config, for both a
-// full-activity vector and a partial one (the shape where the schedules
-// genuinely differ). The sweep also proves itself non-vacuous: across the
-// partial vectors sparse must schedule strictly fewer gates than dense in
-// aggregate, or the pruning never engaged.
-func TestOracleSparseVsDense(t *testing.T) {
-	var scheduledSparse, scheduledDense int
-	for _, cfg := range Configs(nConfigs) {
-		c, err := cfg.Build()
-		if err != nil {
-			t.Fatalf("%s: build: %v", cfg.Name, err)
-		}
-		for _, vec := range []struct {
-			label  string
-			events []service.Event
-		}{
-			{"full", cfg.WireVector(c, 0)},
-			{"partial", cfg.PartialWireVector(c, 1)},
-		} {
-			evs, err := ToPIEvents(c, vec.events)
-			if err != nil {
-				t.Fatalf("%s/%s: events: %v", cfg.Name, vec.label, err)
-			}
-			dense, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 1, Dense: true})
-			if err != nil {
-				t.Fatalf("%s/%s: dense: %v", cfg.Name, vec.label, err)
-			}
-			sparse, err := c.AnalyzeOpts(evs, cfg.Mode, sta.Options{Workers: 4})
-			if err != nil {
-				t.Fatalf("%s/%s: sparse: %v", cfg.Name, vec.label, err)
-			}
-			if err := DiffExact(Arrivals(c, dense), Arrivals(c, sparse), nil); err != nil {
-				t.Errorf("%s/%s: sparse diverges from dense: %v", cfg.Name, vec.label, err)
-			}
-			if sparse.Stats.GatesEvaluated != dense.Stats.GatesEvaluated {
-				t.Errorf("%s/%s: sparse evaluated %d gates, dense %d — pruning changed the work, not just the schedule",
-					cfg.Name, vec.label, sparse.Stats.GatesEvaluated, dense.Stats.GatesEvaluated)
-			}
-			if vec.label == "partial" {
-				scheduledSparse += sparse.Stats.GatesScheduled
-				scheduledDense += dense.Stats.GatesScheduled
-			}
-		}
-	}
-	if scheduledSparse >= scheduledDense {
-		t.Fatalf("sparse scheduled %d gates vs dense %d on partial vectors — pruning never engaged, oracle vacuous",
-			scheduledSparse, scheduledDense)
-	}
-}
-
-// TestOracleZeroConeStimulus: stimulating only primary inputs with no
-// fanout at all must succeed with an empty schedule — the stimulated PIs'
-// own arrivals and nothing else. Run against a circuit where one PI drives
-// gates and one drives nothing, under both schedules.
-func TestOracleZeroConeStimulus(t *testing.T) {
-	c, in, out, err := sta.SynthChain(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = in
-	dangling := c.Input("dangling")
-	evs := []sta.PIEvent{{Net: dangling, Dir: waveform.Rising, Time: 0, TT: 250e-12}}
-	for _, opt := range []sta.Options{{Workers: 1}, {Workers: 1, Dense: true}} {
-		res, err := c.AnalyzeOpts(evs, sta.Proximity, opt)
-		if err != nil {
-			t.Fatalf("dense=%v: zero-cone stimulus errored: %v", opt.Dense, err)
-		}
-		if res.Stats.GatesEvaluated != 0 {
-			t.Fatalf("dense=%v: evaluated %d gates with no reachable fanout", opt.Dense, res.Stats.GatesEvaluated)
-		}
-		if _, ok := res.Latest(out); ok {
-			t.Fatalf("dense=%v: unreachable output carries an arrival", opt.Dense)
-		}
-		if _, ok := res.Arrival(dangling, waveform.Rising); !ok {
-			t.Fatalf("dense=%v: stimulated PI lost its arrival", opt.Dense)
-		}
-		if !opt.Dense && res.Stats.GatesScheduled != 0 {
-			t.Fatalf("sparse scheduled %d gates for an empty cone, want 0", res.Stats.GatesScheduled)
 		}
 	}
 }

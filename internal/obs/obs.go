@@ -33,11 +33,12 @@ const (
 	// PhaseLevelize is the topological-sort portion inside a cold compile
 	// (a sub-interval of PhaseCompile; excluded from Sum totals).
 	PhaseLevelize
-	// PhaseCones is time spent waiting for the per-PI fanout cone tables
-	// (paid by the first sparse analyze on a handle, ~zero afterwards).
+	// PhaseCones is time spent waiting for the lazily built net-to-consumer
+	// edges the propagation walk enqueues along (paid by the first analyze
+	// or delta on a handle, ~zero afterwards).
 	PhaseCones
-	// PhaseSchedule is the per-vector sparse schedule construction: cone
-	// union, level bucketing, netlist-order sort.
+	// PhaseSchedule is the propagation walk's per-level bucket sort into
+	// netlist order, summed over levels.
 	PhaseSchedule
 	// PhaseSeed is stimulus validation and primary-input arrival seeding.
 	PhaseSeed
@@ -55,7 +56,7 @@ const (
 	// is on.
 	PhaseGlitch
 	// PhaseDelta is the event-driven delta re-analysis: baseline clone,
-	// delta application, and the dirty-cone propagation walk. Only
+	// delta application, and the propagation walk from the edited inputs. Only
 	// AnalyzeDelta records it; full analyses report zero. It is a top-level
 	// phase — delta analyses do not additionally record seed/eval/commit, so
 	// the disjointness invariant (Sum() <= Wall) holds for them too.

@@ -4,24 +4,24 @@ package sta
 // function of which other inputs moved nearby, so what-if sweeps and ECO
 // re-timing generate streams of near-duplicate queries: the same netlist,
 // the same stimulus vector give or take a handful of primary-input events.
-// Re-running the full cone walk for each is almost entirely redundant — the
+// Re-analyzing each from scratch is almost entirely redundant — the
 // recomputed arrivals are bit-identical to the baseline everywhere the
 // perturbation's influence has died out. AnalyzeDelta exploits that: clone
 // the baseline arrival store, apply the delta at the primary inputs, then
-// propagate dirtiness forward through the net-to-consumer edges in level
-// order, re-running evalGate only on gates whose inputs changed and cutting
-// off wherever a recomputed output is bit-equal to what the baseline already
-// had. Gates the wavefront never reaches keep their baseline arrivals — and
-// because evalGate is deterministic over committed arrivals, the result is
-// bit-identical to a fresh full analysis of the edited vector (enforced by
-// the internal/difftest delta-vs-full oracle).
+// run the propagation walk (walk.go) from the edited inputs — the same walk
+// a full analysis runs from an empty store. It re-runs evalGate only on
+// gates whose inputs changed and cuts off wherever a recomputed output is
+// bit-equal to what the baseline already had. Gates the wavefront never
+// reaches keep their baseline arrivals — and because evalGate is
+// deterministic over committed arrivals, the result is bit-identical to a
+// fresh full analysis of the edited vector (enforced by the
+// internal/difftest delta-vs-full oracle).
 
 import (
 	"context"
 	"fmt"
 	"maps"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -125,9 +125,7 @@ func (p *Compiled) AnalyzeDelta(ctx context.Context, baseline *Result, delta Del
 	// Apply the edit at the primary inputs: removes first, then sets, each
 	// with the same validation the full-analysis seed performs. touched
 	// collects the edited net IDs; dirtiness is decided afterwards by
-	// comparing the final seed against the baseline, so a Set that lands
-	// bit-equal to what the baseline already had (or a Remove+Set that
-	// round-trips) propagates nothing.
+	// comparing the final seed against the baseline.
 	touched := make([]int32, 0, len(delta.Set)+len(delta.Remove))
 	for i, rm := range delta.Remove {
 		if rm.Net == nil || !c.piSet[rm.Net] {
@@ -201,142 +199,31 @@ func (p *Compiled) AnalyzeDelta(ctx context.Context, baseline *Result, delta Del
 		}
 	}
 
-	conesStart := time.Now()
-	p.ensureConsumers()
-	conesWall := time.Since(conesStart)
-	res.Stats.Phases.Add(obs.PhaseCones, conesWall)
-
-	s := p.scratch.Get().(*evalScratch)
-	defer p.scratch.Put(s)
-	defer func() {
-		// The enqueued flags must be clean before the scratch returns to the
-		// pool on every exit path — sparseSchedule assumes a zeroed inCone.
-		for _, gi := range s.marked {
-			s.inCone[gi] = false
-		}
-		s.marked = s.marked[:0]
-	}()
-	s.marked = s.marked[:0]
-	for i := range s.buckets {
-		s.buckets[i] = s.buckets[i][:0]
-	}
-
-	// enqueue marks every consumer of a changed net for re-evaluation,
-	// bucketed by topological level. Consumers always sit at a strictly
-	// higher level than their producing gate, so the ascending level walk
-	// below never revisits a processed bucket.
-	enqueue := func(netID int32) {
-		for _, gi := range p.consumers(netID) {
-			if !s.inCone[gi] {
-				s.inCone[gi] = true
-				s.marked = append(s.marked, gi)
-				s.buckets[p.gateLevel[gi]] = append(s.buckets[p.gateLevel[gi]], gi)
-			}
-		}
-	}
+	// Only edited inputs whose final seed differs from the baseline's are
+	// touched, so a Set that lands bit-equal to what the baseline already had
+	// (or a Remove+Set that round-trips) propagates nothing.
+	dirty := touched[:0]
 	for _, id := range touched {
 		if slotValue(res, id) != slotValue(baseline, id) {
-			enqueue(id)
+			dirty = append(dirty, id)
 		}
 	}
-
-	// Level-ordered dirty propagation: re-run evalGate on each marked gate
-	// against the committed (baseline-plus-updates) arrivals; commit and
-	// fan out only when the recomputed output differs from the baseline's,
-	// otherwise the wavefront dies right here. Serial — the wavefront is
-	// expected to be tiny against the netlist; batch-level parallelism
-	// belongs to the caller.
-	reevaluated, reevalWithBaseline := 0, 0
-	for li := range s.buckets {
-		bucket := s.buckets[li]
-		if len(bucket) == 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sta: delta analysis interrupted: %w", err)
-		}
-		// Netlist order within the level: deterministic evaluation order and
-		// the same first-error the full walk would report.
-		slices.Sort(bucket)
-		for _, gi := range bucket {
-			g := p.gateList[gi]
-			prev := slotValue(res, g.Out.id)
-			// prevRaw is the baseline evaluation's pre-filter shape. For an
-			// absorbed pair the committed store is empty while the evaluation
-			// work happened (and was counted), so the raw pair — kept by
-			// applyPulseFilter exactly for this — stands in for prev wherever
-			// the walk accounts for work rather than committed influence.
-			prevRaw := prev
-			if res.pulseFiltering {
-				if pi, ok := res.pulses[g.Out.id]; ok && pi.Filtered {
-					prevRaw = res.pulseRaw[g.Out.id]
-				}
-			}
-			mult := 1.0
-			if opt.Perturb != nil {
-				mult = opt.Perturb(gi)
-			}
-			out := evalGate(g, res, mode, &s.evs, mult)
-			if out.err != nil {
-				return nil, out.err
-			}
-			reevaluated++
-			if prevRaw.has[0] || prevRaw.has[1] {
-				reevalWithBaseline++
-			}
-			nextRaw := dirArrivals{a: out.a, has: out.has}
-			if res.pulseFiltering {
-				// Re-judge from a clean slate: withdraw the baseline's
-				// verdict (and its counter contribution), then let the filter
-				// record the fresh one — an unchanged verdict nets out to
-				// zero. This must happen even when the committed arrivals end
-				// up bit-equal: a gate with no baseline arrivals (absorbed
-				// pair) can still change its verdict, which is why arrival
-				// bit-equality alone is not a sound cutoff under filtering.
-				res.dropPulse(g.Out.id)
-				if out.has[0] && out.has[1] {
-					applyPulseFilter(g, &out, res)
-				}
-			}
-			// Evaluation counters diff the RAW shapes — the work performed —
-			// not the committed arrivals: a filtered pair clears the latter
-			// while the full path still counts the evaluation.
-			for d := range nextRaw.a {
-				if prevRaw.has[d] {
-					res.Stats.Evaluations--
-					if prevRaw.a[d].UsedInputs > 1 {
-						res.Stats.ProximityEvals--
-					} else {
-						res.Stats.SingleArcEvals--
-					}
-				}
-				if nextRaw.has[d] {
-					res.Stats.Evaluations++
-					if nextRaw.a[d].UsedInputs > 1 {
-						res.Stats.ProximityEvals++
-					} else {
-						res.Stats.SingleArcEvals++
-					}
-				}
-			}
-			if (prevRaw.has[0] || prevRaw.has[1]) && !(nextRaw.has[0] || nextRaw.has[1]) {
-				res.Stats.GatesEvaluated--
-			} else if !(prevRaw.has[0] || prevRaw.has[1]) && (nextRaw.has[0] || nextRaw.has[1]) {
-				res.Stats.GatesEvaluated++
-			}
-			next := dirArrivals{a: out.a, has: out.has}
-			if next == prev {
-				continue // committed influence died out: downstream keeps the baseline
-			}
-			*res.slot(g.Out) = next
-			enqueue(g.Out.id)
-		}
+	// Serial: the wavefront is expected to be tiny against the netlist;
+	// batch-level parallelism belongs to the caller.
+	overwritten, err := p.propagate(ctx, res, dirty, walkOpts{mode: mode, workers: 1, perturb: opt.Perturb})
+	if err != nil {
+		return nil, err
 	}
-	res.Stats.GatesScheduled = reevaluated
-	res.Stats.GatesReevaluated = reevaluated
-	res.Stats.GatesReused = baseline.Stats.GatesEvaluated - reevalWithBaseline
+	res.Stats.GatesReevaluated = res.Stats.GatesScheduled
+	res.Stats.GatesReused = baseline.Stats.GatesEvaluated - overwritten
 	res.Stats.Wall = time.Since(wallStart)
-	res.Stats.Phases.Add(obs.PhaseDelta, res.Stats.Wall-conesWall)
+	// A delta reports its walk as one top-level phase, so the disjointness
+	// invariant (Sum() <= Wall) holds; only the consumer-CSR wait stays
+	// broken out.
+	cones := res.Stats.Phases[obs.PhaseCones]
+	res.Stats.Phases = obs.PhaseTimes{}
+	res.Stats.Phases.Add(obs.PhaseCones, cones)
+	res.Stats.Phases.Add(obs.PhaseDelta, res.Stats.Wall-cones)
 	return res, nil
 }
 

@@ -1,9 +1,9 @@
 package sta
 
 // Monte-Carlo statistical timing analysis under process variation. One
-// compile and one cone schedule are reused across all samples; each sample
-// re-times the same stimulus with per-gate delay multipliers drawn from the
-// deterministic counter PRNG in internal/mc, so sample k of a run is a pure
+// compile is reused across all samples; each sample re-times the same
+// stimulus with per-gate delay multipliers drawn from the deterministic
+// counter PRNG in internal/mc, so sample k of a run is a pure
 // function of (seed, k) — independently reproducible without re-running the
 // first k-1 samples, and identical no matter how many workers the loop
 // spreads across. Per-output arrival times aggregate into
@@ -44,8 +44,7 @@ type MCOptions struct {
 	// Bins sets the per-output histogram resolution (<= 0 picks 16).
 	Bins int
 	// Options carries the execution knobs (Workers bounds the sample-level
-	// parallelism; Dense disables cone pruning inside each sample;
-	// PulseFiltering makes every sample judge its own runt-pulse
+	// parallelism; PulseFiltering makes every sample judge its own runt-pulse
 	// separations, feeding MCResult.GlitchCriticality). Perturb must be
 	// nil — AnalyzeMC owns the perturbation hook.
 	Options
@@ -117,41 +116,37 @@ type MCResult struct {
 	Stats Stats
 }
 
-// mcOutputs returns the primary outputs that can transition under this
-// stimulus, in declaration order. Events propagate only through the
-// stimulated PIs' fanout cones, and perturbation scales delays without ever
-// adding gates to the schedule — so a PO outside every stimulated cone is a
-// guaranteed-NaN column in every sample, and aggregating it would make the
-// per-sample cost scale with the netlist's PO count instead of the cone's.
-// Dense mode (which deliberately sheds the cone tables) and stimuli naming
-// post-compile PIs fall back to every compile-known PO.
-func (p *Compiled) mcOutputs(events []PIEvent, dense bool) []*Net {
-	all := func() []*Net {
-		pos := make([]*Net, 0, len(p.c.POs))
-		for _, po := range p.c.POs {
-			if int(po.id) < p.numNets {
-				pos = append(pos, po)
-			}
+// mcOutputs returns the primary outputs an event on the stimulated inputs
+// can reach, in declaration order: one forward pass over the consumer CSR.
+// Perturbation scales delays without ever changing which gates receive an
+// arrival, so an unreachable PO is a guaranteed-NaN column in every sample,
+// and aggregating it would make the per-sample cost scale with the
+// netlist's PO count instead of the stimulated fanout.
+func (p *Compiled) mcOutputs(events []PIEvent) []*Net {
+	p.ensureConsumers()
+	reach := make([]bool, p.numNets)
+	var stack []int32
+	visit := func(id int32) {
+		if int(id) < p.numNets && !reach[id] {
+			reach[id] = true
+			stack = append(stack, id)
 		}
-		return pos
 	}
-	if dense {
-		return all()
-	}
-	reach := make(map[*Net]bool)
 	for _, ev := range events {
-		gates, ok := p.Cone(ev.Net)
-		if !ok {
-			return all()
+		if ev.Net != nil {
+			visit(ev.Net.id)
 		}
-		reach[ev.Net] = true
-		for _, gi := range gates {
-			reach[p.gateList[gi].Out] = true
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, gi := range p.consumers(id) {
+			visit(p.gateList[gi].Out.id)
 		}
 	}
 	pos := make([]*Net, 0, 16)
 	for _, po := range p.c.POs {
-		if int(po.id) < p.numNets && reach[po] {
+		if int(po.id) < p.numNets && reach[po.id] {
 			pos = append(pos, po)
 		}
 	}
@@ -184,9 +179,9 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 
 	// The aggregation axes: primary outputs that can actually transition
 	// under this stimulus. Restricting them up front keeps the per-sample
-	// slab and the PO scan proportional to the stimulated cone, not the
+	// slab and the PO scan proportional to the stimulated fanout, not the
 	// netlist.
-	pos := p.mcOutputs(events, opt.Dense)
+	pos := p.mcOutputs(events)
 
 	mcStart := time.Now()
 	// Per-sample arrival slab, indexed [sample][output][direction]. NaN
@@ -221,7 +216,7 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 	}
 
 	runSample := func(si int) error {
-		pv := Options{Workers: 1, Dense: opt.Dense, PulseFiltering: opt.PulseFiltering}
+		pv := Options{Workers: 1, PulseFiltering: opt.PulseFiltering}
 		if opt.Sigma != 0 {
 			// Capture si by value: the closure is the whole perturbation
 			// state, so any sample is reproducible in isolation.
@@ -380,7 +375,7 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 	// Corner presets: degenerate one-sample runs with a constant global
 	// multiplier (the typ corner's 1.0 takes the unperturbed hot path).
 	for i, name := range opt.Corners {
-		pv := Options{Workers: opt.Workers, Dense: opt.Dense, PulseFiltering: opt.PulseFiltering}
+		pv := Options{Workers: opt.Workers, PulseFiltering: opt.PulseFiltering}
 		if cornerMults[i] != 1 {
 			m := cornerMults[i]
 			pv.Perturb = func(int32) float64 { return m }

@@ -1,7 +1,7 @@
 package sta
 
 // Monte-Carlo benchmark: the subsystem's reason to exist is amortization —
-// one compile + cone schedule reused across thousands of samples. The
+// one compile reused across thousands of samples. The
 // recorded number is the ratio between the naive statistical loop (fresh
 // compile + analyze per sample, what a caller without AnalyzeMC would
 // write) and AnalyzeMC's per-sample cost at 1024 samples, both serial so
@@ -35,7 +35,7 @@ var (
 
 // getMCBench returns the shared tiled netlist with a tile-local stimulus:
 // the shape statistical sweeps run in practice — a partial vector whose
-// cone is small while the compile cost spans the whole netlist.
+// fanout is small while the compile cost spans the whole netlist.
 func getMCBench(tb testing.TB) (*Circuit, []PIEvent) {
 	tb.Helper()
 	mcBenchOnce.Do(func() {
@@ -47,8 +47,8 @@ func getMCBench(tb testing.TB) (*Circuit, []PIEvent) {
 	return mcBenchC, SynthEventsFor(TilePIs(mcBenchC, 0), 1)
 }
 
-// freshCompileAnalyze is the naive statistical sample: levelize + cone-build
-// from scratch, then analyze once — the cost AnalyzeMC amortizes away.
+// freshCompileAnalyze is the naive statistical sample: levelize from
+// scratch, then analyze once — the cost AnalyzeMC amortizes away.
 func freshCompileAnalyze(ctx context.Context, c *Circuit, evs []PIEvent) error {
 	p, err := c.compileFull(nil)
 	if err != nil {
@@ -194,7 +194,7 @@ func TestWriteMCBench(t *testing.T) {
 }
 
 // TestBenchGuardMC compares today's MC amortization ratio against the
-// recorded BENCH_mc.json, gated behind BENCH_GUARD=1 like the sparse guard.
+// recorded BENCH_mc.json, gated behind BENCH_GUARD=1 like the other guards.
 // Both sides of the ratio are measured seconds apart in one process, so
 // machine-wide slowdowns cancel; margin via BENCH_GUARD_MARGIN (default
 // 1.25x).

@@ -126,8 +126,11 @@ func applyPulseFilter(g *Gate, o *gateEval, res *Result) {
 			res.pulseRaw = map[int32]dirArrivals{}
 		}
 		res.pulseRaw[g.Out.id] = dirArrivals{a: o.a, has: o.has}
-		o.has[waveform.Rising] = false
-		o.has[waveform.Falling] = false
+		// Clear the values too, not just the flags: the walk's bit-equal
+		// cutoff compares the committed shape against the store's, where an
+		// absorbed pair leaves nothing.
+		o.a = [2]Arrival{}
+		o.has = [2]bool{}
 		res.Stats.PulsesFiltered++
 	case v.Factor > 1:
 		o.a[leadDir].TT *= v.Factor

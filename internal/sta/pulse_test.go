@@ -693,9 +693,9 @@ func TestPulseFilterExplain(t *testing.T) {
 }
 
 // TestPulseFilterSparseDenseIdentical runs a runt-pulse workload through
-// both schedulers and both worker counts with filtering on: verdicts and
-// arrivals must be bit-identical (the filter sits in the serial commit walk,
-// which both paths share).
+// the propagation walk at both worker counts and through the every-gate
+// reference with filtering on: verdicts and arrivals must be bit-identical
+// (the filter sits in the serial commit, which every schedule shares).
 func TestPulseFilterSparseDenseIdentical(t *testing.T) {
 	c, err := sta.SynthRandom(40, 400, 99)
 	if err != nil {
@@ -705,14 +705,19 @@ func TestPulseFilterSparseDenseIdentical(t *testing.T) {
 	var ref *sta.Result
 	for _, cfg := range []struct {
 		name string
-		opt  sta.Options
+		run  func() (*sta.Result, error)
 	}{
-		{"sparse-serial", sta.Options{Workers: 1, PulseFiltering: true}},
-		{"sparse-parallel", sta.Options{Workers: 4, PulseFiltering: true}},
-		{"dense-serial", sta.Options{Workers: 1, Dense: true, PulseFiltering: true}},
-		{"dense-parallel", sta.Options{Workers: 4, Dense: true, PulseFiltering: true}},
+		{"walk-serial", func() (*sta.Result, error) {
+			return c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 1, PulseFiltering: true})
+		}},
+		{"walk-parallel", func() (*sta.Result, error) {
+			return c.AnalyzeOpts(evs, sta.Proximity, sta.Options{Workers: 4, PulseFiltering: true})
+		}},
+		{"reference", func() (*sta.Result, error) {
+			return sta.AnalyzeReference(c, evs, sta.Proximity, sta.Options{PulseFiltering: true})
+		}},
 	} {
-		res, err := c.AnalyzeOpts(evs, sta.Proximity, cfg.opt)
+		res, err := cfg.run()
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}

@@ -13,8 +13,9 @@ import (
 
 // The sparse-scheduling benchmark netlist: 240 independent 50-gate tiles
 // (12k gates total, 1920 PIs). A tile-local stimulus vector touches 8 PIs —
-// 0.42% of the inputs — the block-partitioned locality shape cone pruning
-// is built for; the dense walk visits all 240 tiles regardless.
+// 0.42% of the inputs — the block-partitioned locality shape the
+// event-driven walk is built for; the every-gate reference visits all 240
+// tiles regardless.
 const (
 	benchTiles        = 240
 	benchPIsPerTile   = 8
@@ -54,7 +55,7 @@ func tiledBatch(tb testing.TB, c *sta.Circuit, n int) [][]sta.PIEvent {
 }
 
 // fullBatch builds n all-PI stimulus vectors — the saturated shape where
-// sparse must not regress against dense.
+// the walk must not regress against the every-gate reference.
 func fullBatch(c *sta.Circuit, n int) [][]sta.PIEvent {
 	batch := make([][]sta.PIEvent, n)
 	for i := range batch {
@@ -63,11 +64,37 @@ func fullBatch(c *sta.Circuit, n int) [][]sta.PIEvent {
 	return batch
 }
 
-// BenchmarkSparseBatch compares the dense full-schedule walk against
-// cone-pruned sparse scheduling on the tiled netlist, for both a
-// tile-local (partial) batch and an all-PI (full) batch. The partial/dense
-// vs partial/sparse pair is the headline number recorded in
-// BENCH_sparse.json.
+// secPerVector measures one batch's per-vector wall time, serially, through
+// the propagation walk or (reference) the every-gate reference walk.
+func secPerVector(c *sta.Circuit, batch [][]sta.PIEvent, reference bool) float64 {
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			runBatch(b, c, batch, reference)
+		}
+	})
+	return r.T.Seconds() / float64(r.N) / float64(len(batch))
+}
+
+// runBatch analyzes a batch serially through the walk or the reference.
+func runBatch(b *testing.B, c *sta.Circuit, batch [][]sta.PIEvent, reference bool) {
+	if !reference {
+		if _, err := c.AnalyzeBatch(batch, sta.Proximity, sta.Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+		return
+	}
+	for _, evs := range batch {
+		if _, err := sta.AnalyzeReference(c, evs, sta.Proximity, sta.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSparseBatch compares the every-gate reference walk against the
+// event-driven propagation walk on the tiled netlist, for both a tile-local
+// (partial) batch and an all-PI (full) batch. The partial/dense vs
+// partial/sparse pair is the headline number recorded in BENCH_sparse.json
+// ("dense" is the reference, "sparse" the walk).
 func BenchmarkSparseBatch(b *testing.B) {
 	c := getTiledBench(b)
 	for _, stim := range []struct {
@@ -85,12 +112,9 @@ func BenchmarkSparseBatch(b *testing.B) {
 			{"sparse", false},
 		} {
 			b.Run(fmt.Sprintf("stimulus=%s/sched=%s", stim.name, sched.name), func(b *testing.B) {
-				opt := sta.Options{Workers: 1, Dense: sched.dense}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.AnalyzeBatch(stim.batch, sta.Proximity, opt); err != nil {
-						b.Fatal(err)
-					}
+					runBatch(b, c, stim.batch, sched.dense)
 				}
 				b.ReportMetric(float64(len(stim.batch))*float64(b.N)/b.Elapsed().Seconds(), "vectors/s")
 			})
@@ -99,9 +123,10 @@ func BenchmarkSparseBatch(b *testing.B) {
 }
 
 // sparseBenchResult is the BENCH_sparse.json schema — the before/after
-// record for cone-pruned sparse scheduling. "Before" is the dense schedule
-// (Options.Dense, the pre-sparse walk preserved as the oracle reference)
-// run on the same engine build, so the comparison isolates the scheduler.
+// record for event-driven scheduling. "Dense" is the every-gate reference
+// walk (test-only, the oracles' reference) and "sparse" the propagation
+// walk, run on the same engine build, so the comparison isolates the
+// scheduler.
 type sparseBenchResult struct {
 	Timestamp    string `json:"timestamp"`
 	NetlistGates int    `json:"netlistGates"`
@@ -137,18 +162,6 @@ func TestWriteSparseBench(t *testing.T) {
 	partial := tiledBatch(t, c, 32)
 	full := fullBatch(c, 4)
 
-	secPerVector := func(batch [][]sta.PIEvent, dense bool) float64 {
-		opt := sta.Options{Workers: 1, Dense: dense}
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := c.AnalyzeBatch(batch, sta.Proximity, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return r.T.Seconds() / float64(r.N) / float64(len(batch))
-	}
-
 	res := sparseBenchResult{
 		Timestamp:    time.Now().UTC().Format(time.RFC3339),
 		NetlistGates: benchTiles * benchGatesPerTile,
@@ -160,18 +173,18 @@ func TestWriteSparseBench(t *testing.T) {
 		PartialVectors:      len(partial),
 		FullVectors:         len(full),
 	}
-	res.PartialDenseSecPerV = secPerVector(partial, true)
-	res.PartialSparseSecPerV = secPerVector(partial, false)
+	res.PartialDenseSecPerV = secPerVector(c, partial, true)
+	res.PartialSparseSecPerV = secPerVector(c, partial, false)
 	res.PartialSpeedup = res.PartialDenseSecPerV / res.PartialSparseSecPerV
-	res.FullDenseSecPerV = secPerVector(full, true)
-	res.FullSparseSecPerV = secPerVector(full, false)
+	res.FullDenseSecPerV = secPerVector(c, full, true)
+	res.FullSparseSecPerV = secPerVector(c, full, false)
 	res.FullSpeedup = res.FullDenseSecPerV / res.FullSparseSecPerV
 
 	if res.PartialSpeedup < 3 {
 		t.Errorf("partial-stimulus speedup %.2fx, acceptance bar is 3x", res.PartialSpeedup)
 	}
 	if res.FullSpeedup < 0.9 {
-		t.Errorf("full-stimulus sparse/dense ratio %.2fx — sparse regressed on saturated batches", res.FullSpeedup)
+		t.Errorf("full-stimulus walk/reference ratio %.2fx — the walk regressed on saturated batches", res.FullSpeedup)
 	}
 
 	data, err := json.MarshalIndent(res, "", " ")

@@ -49,8 +49,8 @@ type Net struct {
 	Driver *Gate // nil for primary inputs
 	// id is the net's dense integer identity within its circuit, assigned
 	// at creation in declaration order. It indexes the Result arrival store
-	// and the compiled cone tables, so arrival lookup is a slice index, not
-	// a map probe.
+	// and the compiled consumer edges, so arrival lookup is a slice index,
+	// not a map probe.
 	id int32
 }
 
@@ -82,10 +82,10 @@ type Circuit struct {
 	poSet map[*Net]bool
 
 	// compiled memoizes Compile so the Analyze entry points don't pay
-	// levelization (and cone construction) per call on an unchanged
-	// netlist. Staleness is structural: all mutations (Input, AddGate, net
-	// creation) append, so a handle is current exactly when its snapshot
-	// counts match the circuit's — no dirty flag to keep in sync. A stale
+	// levelization per call on an unchanged netlist. Staleness is
+	// structural: all mutations (Input, AddGate, net creation) append, so a
+	// handle is current exactly when its snapshot counts match the
+	// circuit's — no dirty flag to keep in sync. A stale
 	// handle seeds an incremental recompile of just the appended suffix
 	// (see recompile in incremental.go); handles already obtained by
 	// callers keep working against the snapshot they hold. Concurrent
@@ -289,17 +289,11 @@ type Options struct {
 	// reference path. Results are bit-identical at every setting — the
 	// schedule changes, the arithmetic does not.
 	Workers int
-	// Dense disables cone-pruned sparse scheduling and walks every gate at
-	// every level, the pre-sparse reference schedule. The default (false)
-	// schedules only the gates inside the fanout cones of the stimulated
-	// primary inputs; both schedules are bit-identical in their results, so
-	// Dense exists as an escape hatch and as the oracle's reference.
-	Dense bool
 	// Trace, when non-nil, records Chrome trace_event spans for the
-	// analysis: compile (if it happens), schedule construction, each
-	// evaluation level, and the per-worker shares within a level. nil (the
-	// default) records nothing and costs nothing beyond dead nil-checks —
-	// the hot path stays hot.
+	// analysis: compile (if it happens), each evaluation level with its
+	// bucket sort and commit, and the per-worker shares within a level. nil
+	// (the default) records nothing and costs nothing beyond dead
+	// nil-checks — the hot path stays hot.
 	Trace *obs.Trace
 	// Perturb, when non-nil, supplies a per-gate multiplier applied to the
 	// table-backed delay and output transition time of every evaluation of
@@ -345,8 +339,8 @@ type LevelStat struct {
 // Stats counts what an analysis actually did, so benchmarks and reports
 // have something to read beyond arrival times.
 type Stats struct {
-	Workers        int
-	Levels         int
+	Workers int
+	Levels  int
 	// GatesEvaluated counts gates whose evaluation produced at least one
 	// output arrival — including gates whose opposite-edge pair pulse
 	// filtering later absorbed (the evaluation work happened either way).
@@ -354,9 +348,11 @@ type Stats struct {
 	Evaluations    int // per-direction delay calculations
 	ProximityEvals int // evaluations combining >1 switching input
 	SingleArcEvals int // evaluations timed from a single arc
-	// GatesScheduled counts gates the schedule visited: every gate of every
-	// level in dense mode, only the active-cone gates in sparse mode. The
-	// difference against the gate count is what cone pruning saved.
+	// GatesScheduled counts gates the propagation walk visited. The walk
+	// schedules a gate only when one of its inputs received an arrival, so
+	// in a full analysis it equals GatesEvaluated; in a delta it equals
+	// GatesReevaluated. The difference against the gate count is the work
+	// the event-driven schedule never had to do.
 	GatesScheduled int
 	// GatesReevaluated and GatesReused are delta-analysis accounting
 	// (AnalyzeDelta): how many gates the dirty-propagation walk actually
@@ -378,13 +374,13 @@ type Stats struct {
 	// the counter makes the multi-level chaining blind spot observable.
 	PulsesUnjudged int
 	// PerLevel has one entry per topological level; Gates is the number of
-	// gates scheduled at that level (in sparse mode, levels outside the
-	// active cones record zero).
+	// gates scheduled at that level (levels the walk never reached record
+	// zero).
 	PerLevel []LevelStat
 	// Phases breaks the analysis wall time into the engine's accounting
-	// buckets (compile, cone build, schedule, seed, eval, commit). The
-	// buckets are disjoint intervals, so Phases.Sum() <= Wall. Always on:
-	// the cost is a handful of clock reads per analysis.
+	// buckets (compile, consumer-edge build, schedule, seed, eval, commit).
+	// The buckets are disjoint intervals, so Phases.Sum() <= Wall. Always
+	// on: the cost is a handful of clock reads per analysis.
 	Phases obs.PhaseTimes
 	// Wall is the total wall time of this analysis, including any compile
 	// the entry point performed on its behalf.
@@ -401,7 +397,7 @@ type dirArrivals struct {
 
 // Result holds per-net arrivals after analysis. The store is indexed by net
 // ID through a flat int32 table into a compact arrival slab, so Arrival is
-// two bounds checks and two array reads, and a cone-pruned analysis that
+// two bounds checks and two array reads, and an analysis whose walk
 // touches 50 of 14000 nets allocates (and the GC later scans) 50 arrival
 // slots, not 14000 — only the pointer-free index scales with the netlist.
 // A Result is only meaningful for nets of the circuit that produced it.
@@ -547,8 +543,8 @@ func (c *Circuit) AnalyzeBatch(batch [][]PIEvent, mode Mode, opt Options) ([]*Re
 // circuit is compiled again.
 //
 // A Compiled handle is safe for concurrent use: Analyze and AnalyzeBatch
-// only read the circuit and schedule (the lazily built cone tables are
-// guarded by a sync.Once, the per-vector scratch by a sync.Pool).
+// only read the circuit and schedule (the lazily built consumer edges are
+// guarded by a sync.Once, the per-walk scratch by a sync.Pool).
 type Compiled struct {
 	c      *Circuit
 	levels [][]*Gate
@@ -573,25 +569,12 @@ type Compiled struct {
 	// (it is the levelized schedule in a second shape, O(gates) to fill).
 	gateLevel []int32
 
-	// Net -> consuming-gate edges in CSR form over net IDs, built lazily on
-	// first use (cone construction, delta propagation): consumers of net id
-	// n are cons[consOff[n]:consOff[n+1]], gate indices ascending.
+	// Net -> consuming-gate edges in CSR form over net IDs, built lazily by
+	// the first propagation walk: consumers of net id n are
+	// cons[consOff[n]:consOff[n+1]], gate indices ascending.
 	consOnce sync.Once
 	consOff  []int32
 	cons     []int32
-
-	// Per-PI fanout cones, built lazily on the first sparse analysis (the
-	// Dense escape hatch never pays for them). CSR layout: cone of PI
-	// ordinal k is cones[coneOff[k]:coneOff[k+1]], gate indices in BFS
-	// order. piOrd maps net ID -> PI ordinal (-1 for non-PIs). conesReady
-	// lets an incremental recompile see (without blocking) whether the old
-	// handle ever built cones and therefore whether prefiring new ones is
-	// worth it.
-	coneOnce   sync.Once
-	conesReady atomic.Bool
-	coneOff    []int32
-	cones      []int32
-	piOrd      []int32
 
 	scratch sync.Pool // *evalScratch
 }
@@ -599,8 +582,8 @@ type Compiled struct {
 // Compile levelizes the circuit into a reusable analysis handle. It fails
 // exactly when Analyze would: on a combinational loop. The handle is
 // memoized on the circuit until the next structural mutation, so repeated
-// Analyze/AnalyzeBatch calls share one levelization, one set of fanout
-// cones and one scratch pool.
+// Analyze/AnalyzeBatch calls share one levelization, one set of consumer
+// edges and one scratch pool.
 func (c *Circuit) Compile() (*Compiled, error) {
 	p, _, err := c.compileTimed(nil)
 	return p, err
@@ -617,8 +600,8 @@ func (c *Circuit) stale(p *Compiled) bool {
 // fresh is true when this call actually built the handle (rather than
 // reusing the memoized one), which is when its levelizeWall is chargeable
 // to the caller. tr == nil records nothing. A stale memoized handle is not
-// discarded: it seeds an incremental recompile that re-levelizes and
-// re-cones only the appended suffix and its downstream fanout.
+// discarded: it seeds an incremental recompile that re-levelizes only the
+// appended suffix and its downstream fanout.
 func (c *Circuit) compileTimed(tr *obs.Trace) (p *Compiled, fresh bool, err error) {
 	c.compileMu.Lock()
 	old := c.compiled
@@ -918,8 +901,8 @@ func (r *Result) CriticalPath(n *Net, dir waveform.Direction) ([]PathStep, error
 		// A valid trace visits each populated net at most once per
 		// direction; more steps than that means the back-pointers form a
 		// cycle. (Bounded by the compact store size, not the net count: a
-		// sparse result indexes every net, but only nets inside the
-		// stimulated cones carry arrivals a trace can visit.)
+		// result indexes every net, but only nets the walk reached carry
+		// arrivals a trace can visit.)
 		if len(path) > 2*len(r.arr)+2 {
 			return nil, fmt.Errorf("sta: path trace runaway")
 		}
