@@ -430,6 +430,7 @@ func BenchmarkAblationOrdering(b *testing.B) {
 // BenchmarkEvaluate measures the raw model-evaluation rate — the cost a
 // proximity-aware STA pays per gate.
 func BenchmarkEvaluate(b *testing.B) {
+	b.ReportAllocs()
 	r := getBenchRig(b)
 	events := []core.InputEvent{
 		{Pin: 0, Dir: waveform.Falling, TT: 400e-12, Cross: 0},
@@ -541,6 +542,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 // BenchmarkAnalyzeBatch measures the heavy-traffic shape: N independent
 // stimulus vectors streamed through one shared levelization.
 func BenchmarkAnalyzeBatch(b *testing.B) {
+	b.ReportAllocs()
 	c, _ := getSTABench(b)
 	batch := make([][]sta.PIEvent, 16)
 	for i := range batch {

@@ -27,6 +27,7 @@ func perturbOne(evs []sta.PIEvent, i int) ([]sta.PIEvent, sta.PIEvent) {
 // full analysis reaches every gate — the delta path wins by propagating only
 // the arrivals the nudge actually moves.
 func BenchmarkDelta(b *testing.B) {
+	b.ReportAllocs()
 	c := getTiledBench(b)
 	p, err := c.Compile()
 	if err != nil {

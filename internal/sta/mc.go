@@ -274,8 +274,8 @@ func (p *Compiled) AnalyzeMC(ctx context.Context, events []PIEvent, mode Mode, o
 				return fmt.Errorf("sample %d criticality trace: %w", si, err)
 			}
 			for _, step := range path {
-				if g := step.Arrival.FromGate; g != nil {
-					atomic.AddInt64(&critCount[g.idx], 1)
+				if gi := step.Arrival.FromGate; gi != 0 {
+					atomic.AddInt64(&critCount[gi-1], 1)
 				}
 			}
 		}

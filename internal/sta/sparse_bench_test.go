@@ -96,6 +96,7 @@ func runBatch(b *testing.B, c *sta.Circuit, batch [][]sta.PIEvent, reference boo
 // partial/sparse pair is the headline number recorded in BENCH_sparse.json
 // ("dense" is the reference, "sparse" the walk).
 func BenchmarkSparseBatch(b *testing.B) {
+	b.ReportAllocs()
 	c := getTiledBench(b)
 	for _, stim := range []struct {
 		name  string
