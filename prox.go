@@ -254,7 +254,11 @@ func (m *Model) Delay(ts []Transition) (*Result, error) {
 	for i, t := range ts {
 		evs[i] = core.InputEvent{Pin: t.Pin, Dir: t.Dir, TT: t.TT, Cross: t.At}
 	}
-	return m.calc.Evaluate(evs)
+	r, err := m.calc.Evaluate(evs)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
 }
 
 // SingleDelay returns the single-input delay and output transition time.
