@@ -3,7 +3,9 @@ package macromodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/table"
 	"repro/internal/waveform"
@@ -38,6 +40,9 @@ type SingleInputModel struct {
 	// grid point — exposed so the normalized forms (3.7)/(3.8) can be
 	// plotted and reused across loads.
 	NormLoad []float64 `json:"normLoad"`
+
+	// logTau caches ln(TauAxis[i]), filled by the first lookup (see At).
+	logTau atomic.Pointer[[]float64]
 }
 
 // CharacterizeSingle sweeps the τ grid for one pin/direction.
@@ -82,31 +87,55 @@ func (g *GateSim) pinStrength(pin int, dir waveform.Direction) float64 {
 	return 0.5 * g.Cell.Proc.PMOS.KP * geom.WP / geom.L
 }
 
-// interpLogTau interpolates ys over the model's τ axis at τ, linear in
-// ln(τ), clamped at the ends.
-func (m *SingleInputModel) interpLogTau(ys []float64, tau float64) float64 {
+// At returns Δ(1) and τ(1)_out for an input transition time τ: one search
+// of the τ axis and one interpolation fraction, linear in ln(τ), shared by
+// both tables, clamped at the ends. The ln of the axis nodes is taken once
+// per model, so a lookup costs one logarithm; TauAxis must not change
+// after the first lookup.
+func (m *SingleInputModel) At(tau float64) (delay, outTT float64) {
 	ax := m.TauAxis
 	n := len(ax)
 	if tau <= ax[0] {
-		return ys[0]
+		return m.Delay[0], m.OutTT[0]
 	}
 	if tau >= ax[n-1] {
-		return ys[n-1]
+		return m.Delay[n-1], m.OutTT[n-1]
 	}
-	i := sort.SearchFloat64s(ax, tau)
-	if ax[i] == tau {
-		return ys[i]
+	i, exact := slices.BinarySearch(ax, tau)
+	if exact {
+		return m.Delay[i], m.OutTT[i]
 	}
-	lo, hi := ax[i-1], ax[i]
-	f := (math.Log(tau) - math.Log(lo)) / (math.Log(hi) - math.Log(lo))
-	return ys[i-1] + f*(ys[i]-ys[i-1])
+	ln := m.lnTau()
+	f := (math.Log(tau) - ln[i-1]) / (ln[i] - ln[i-1])
+	return m.Delay[i-1] + f*(m.Delay[i]-m.Delay[i-1]), m.OutTT[i-1] + f*(m.OutTT[i]-m.OutTT[i-1])
+}
+
+// lnTau returns ln(TauAxis[i]), computing it on first use. Concurrent first
+// callers compute identical slices and either store wins, so models built
+// in code or decoded from JSON need no set-up step.
+func (m *SingleInputModel) lnTau() []float64 {
+	if p := m.logTau.Load(); p != nil {
+		return *p
+	}
+	ln := make([]float64, len(m.TauAxis))
+	for i, t := range m.TauAxis {
+		ln[i] = math.Log(t)
+	}
+	m.logTau.Store(&ln)
+	return ln
 }
 
 // DelayAt returns Δ(1) for an input transition time τ.
-func (m *SingleInputModel) DelayAt(tau float64) float64 { return m.interpLogTau(m.Delay, tau) }
+func (m *SingleInputModel) DelayAt(tau float64) float64 {
+	d, _ := m.At(tau)
+	return d
+}
 
 // OutTTAt returns τ(1)_out for an input transition time τ.
-func (m *SingleInputModel) OutTTAt(tau float64) float64 { return m.interpLogTau(m.OutTT, tau) }
+func (m *SingleInputModel) OutTTAt(tau float64) float64 {
+	_, tt := m.At(tau)
+	return tt
+}
 
 // NormalizedDelay returns the paper's equation-(3.7) view of the model:
 // pairs (u, Δ/τ) with u = CL/(K·Vdd·τ).
