@@ -312,3 +312,42 @@ func TestRunGlitchDirect(t *testing.T) {
 		t.Errorf("well-separated pair should complete the fall: extreme = %.2f", v2)
 	}
 }
+
+// TestSingleAtMatchesLogInterpolation: At takes the ln of the τ axis once
+// per model and shares one fraction between both tables; every lookup must
+// be bit-identical to interpolating each table in ln(τ) with the logs taken
+// per call, at grid nodes, between them and clamped beyond the ends.
+func TestSingleAtMatchesLogInterpolation(t *testing.T) {
+	interp := func(ax, ys []float64, tau float64) float64 {
+		n := len(ax)
+		if tau <= ax[0] {
+			return ys[0]
+		}
+		if tau >= ax[n-1] {
+			return ys[n-1]
+		}
+		i := 1
+		for ax[i] < tau {
+			i++
+		}
+		if ax[i] == tau {
+			return ys[i]
+		}
+		f := (math.Log(tau) - math.Log(ax[i-1])) / (math.Log(ax[i]) - math.Log(ax[i-1]))
+		return ys[i-1] + f*(ys[i]-ys[i-1])
+	}
+	for _, s := range macromodel.SynthModel("nand", 3).Singles {
+		ax := s.TauAxis
+		taus := append([]float64{ax[0] / 2, ax[len(ax)-1] * 2}, ax...)
+		for k := 0; k < 200; k++ {
+			taus = append(taus, ax[0]*math.Pow(ax[len(ax)-1]/ax[0], float64(k)/199))
+		}
+		for _, tau := range taus {
+			d, tt := s.At(tau)
+			wd, wt := interp(ax, s.Delay, tau), interp(ax, s.OutTT, tau)
+			if math.Float64bits(d) != math.Float64bits(wd) || math.Float64bits(tt) != math.Float64bits(wt) {
+				t.Fatalf("pin %d %v τ=%g: At = (%v, %v), per-call log interpolation = (%v, %v)", s.Pin, s.Dir, tau, d, tt, wd, wt)
+			}
+		}
+	}
+}
