@@ -80,26 +80,19 @@ func (ts *traceStore) len() int {
 	return len(ts.traces)
 }
 
-// finishRequest assembles the request's wide event from everything the
-// handler chain learned, makes the tail-sampling retention decision, records
-// the event into the ring and the wide log, and returns it for the request
-// log line. Called by instrument after the handler returns.
-func (s *Server) finishRequest(st *reqState, name string, r *http.Request,
-	sw *statusWriter, status int, start time.Time, d time.Duration) obs.WideEvent {
-	if st == nil {
-		return obs.WideEvent{}
-	}
+// finishRequest completes the request's wide event with what the response
+// revealed (status, wall time, error body), makes the tail-sampling retention
+// decision, records the event into the ring and the wide log, and returns it
+// for /metrics and the request log line.
+func (s *Server) finishRequest(st *reqState, sw *statusWriter) obs.WideEvent {
 	ev := st.wide
-	ev.ID = st.id
-	ev.TraceID = st.tc.TraceID
-	ev.Endpoint = name
-	ev.Method = r.Method
-	ev.Path = r.URL.Path
-	ev.Status = status
-	ev.Start = start
-	ev.Wall = d
-	ev.AdmissionWait = st.admissionWait
-	if status >= 400 && len(sw.errBody) > 0 {
+	ev.Wall = time.Since(ev.Start)
+	ev.Status = sw.status
+	if ev.Status == 0 {
+		// Nothing was written at all; net/http will send 200.
+		ev.Status = http.StatusOK
+	}
+	if ev.Status >= 400 && len(sw.errBody) > 0 {
 		ev.Error = string(sw.errBody)
 	}
 	ev.TraceDropped = st.tr.Dropped()
@@ -113,19 +106,19 @@ func (s *Server) finishRequest(st *reqState, name string, r *http.Request,
 		switch {
 		case st.forceTrace:
 			reason = "flagged"
-		case status >= 400:
+		case ev.Status >= 400:
 			reason = "error"
-		case s.cfg.TailThreshold > 0 && d >= s.cfg.TailThreshold:
+		case s.cfg.TailThreshold > 0 && ev.Wall >= s.cfg.TailThreshold:
 			reason = "slow"
 		}
 		if reason != "" {
 			var buf bytes.Buffer
 			if err := st.tr.WriteJSON(&buf); err == nil {
-				s.traces.put(st.id, buf.Bytes(), reason)
+				s.traces.put(ev.ID, buf.Bytes(), reason)
 				ev.TraceRetained = true
 				ev.RetainReason = reason
 			} else {
-				s.log.Warn("trace serialization failed", "id", st.id, "err", err)
+				s.log.Warn("trace serialization failed", "id", ev.ID, "err", err)
 			}
 		}
 	}
@@ -140,7 +133,7 @@ func (s *Server) finishRequest(st *reqState, name string, r *http.Request,
 	if err := s.wideLog.Write(&ev); err != nil {
 		// The wide log is best-effort durability; a full disk must not fail
 		// the request that already succeeded.
-		s.log.Warn("wide log write failed", "id", st.id, "err", err)
+		s.log.Warn("wide log write failed", "id", ev.ID, "err", err)
 	}
 	return ev
 }
