@@ -228,3 +228,96 @@ func TestMetricsJSONPhases(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsAreTheWideEventSums: /metrics holds one record of the workload,
+// the flight recorder's. After a mixed sequence over every analysis endpoint
+// (a pulseFilter request and a failed one among them), each /metrics
+// workload counter equals the sum of that field over /v1/debug/requests, and
+// an unfiltered analysis leaves the glitch phase histogram empty.
+func TestMetricsAreTheWideEventSums(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	up := uploadTestNetlist(t, ts.URL)
+
+	var ar AnalyzeResponse
+	if code := post(t, ts.URL+"/v1/analyze",
+		AnalyzeRequest{Netlist: up.ID, Vector: testVector(0), KeepBaseline: true}, &ar); code != 200 {
+		t.Fatalf("analyze status %d", code)
+	}
+	if _, n, _ := s.Metrics().Phase(obs.PhaseGlitch).snapshot(); n != 0 {
+		t.Fatalf("unfiltered analyze added %d glitch-phase observations, want 0", n)
+	}
+
+	minSep := pulseMinSepPs(t)
+	runt := pulseVector(minSep - 50)
+	// A degraded pair, and a pair with no glitch model downstream (unjudged).
+	degraded := pulseVector(minSep + 30)
+	unjudged := []Event{
+		{Net: "a", Dir: "fall", TTPs: 300}, {Net: "b", Dir: "rise", TTPs: 300, TimePs: 20},
+		{Net: "c", Dir: "rise", TTPs: 300}, {Net: "d", Dir: "rise", TTPs: 280, TimePs: 20},
+	}
+	for _, c := range []struct {
+		url  string
+		body any
+	}{
+		{"/v1/analyze", AnalyzeRequest{Netlist: up.ID, Vector: runt, PulseFilter: true}},
+		{"/v1/analyze:batch", BatchRequest{Netlist: up.ID, PulseFilter: true,
+			Vectors: [][]Event{testVector(0), degraded, unjudged}}},
+		{"/v1/analyze:delta", DeltaRequest{Baseline: ar.BaselineID,
+			Set: []Event{{Net: "a", Dir: "fall", TTPs: 300, TimePs: 9}}}},
+		{"/v1/explain", ExplainRequest{Netlist: up.ID, Nets: []string{"x", "z"}, Vector: testVector(0)}},
+		{"/v1/analyze:mc", MCRequest{Netlist: up.ID, Vector: testVector(0), Samples: 16, Sigma: 0.05}},
+		{"/v1/analyze:mc", MCRequest{Netlist: up.ID, Vector: runt, Samples: 8, Sigma: 0.05, PulseFilter: true}},
+		{"/v1/explain", ExplainRequest{Netlist: up.ID, Nets: []string{"nope"}, Vector: testVector(0)}},
+	} {
+		post(t, ts.URL+c.url, c.body, nil)
+	}
+
+	fields := []struct {
+		key string
+		get func(*obs.WideEvent) int
+	}{
+		{"vectors", func(e *obs.WideEvent) int { return e.Vectors }},
+		{"gatesEvaluated", func(e *obs.WideEvent) int { return e.GatesEvaluated }},
+		{"proximityEvals", func(e *obs.WideEvent) int { return e.ProximityEvals }},
+		{"singleArcEvals", func(e *obs.WideEvent) int { return e.SingleArcEvals }},
+		{"pulsesFiltered", func(e *obs.WideEvent) int { return e.PulsesFiltered }},
+		{"pulsesDegraded", func(e *obs.WideEvent) int { return e.PulsesDegraded }},
+		{"pulsesUnjudged", func(e *obs.WideEvent) int { return e.PulsesUnjudged }},
+		{"mcSamples", func(e *obs.WideEvent) int { return e.MCSamples }},
+	}
+	// The record is finished after the response is on its way, so the last
+	// request may land a moment after its answer: poll briefly.
+	var diffs []string
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var ring debugRequestsResponse
+		if code := getStatus(t, ts.URL+"/v1/debug/requests?limit=1000", &ring); code != 200 {
+			t.Fatalf("debug requests status %d", code)
+		}
+		var doc map[string]any
+		if code := getStatus(t, ts.URL+"/metrics", &doc); code != 200 {
+			t.Fatalf("metrics status %d", code)
+		}
+		diffs = diffs[:0]
+		for _, f := range fields {
+			sum := 0
+			for i := range ring.Requests {
+				sum += f.get(&ring.Requests[i])
+			}
+			if got := doc[f.key].(float64); got != float64(sum) {
+				diffs = append(diffs, fmt.Sprintf("%s: /metrics %v, wide events %d", f.key, got, sum))
+			}
+		}
+		if len(diffs) == 0 && ring.Count == 9 {
+			for _, f := range fields {
+				if doc[f.key].(float64) == 0 {
+					t.Fatalf("premise: the sequence never moves %s", f.key)
+				}
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics disagrees with the flight recorder (%d events):\n%s",
+				ring.Count, strings.Join(diffs, "\n"))
+		}
+	}
+}
